@@ -14,6 +14,9 @@
 //! writes the merged trace JSON (requires `--telemetry full`); feed it
 //! to `trace_check --expect-ranks N`. The worker binary defaults to the
 //! `shard_worker` sitting next to this executable.
+//!
+//! Exits non-zero when any param set ends degraded (its shard exhausted
+//! its restart budget), after printing and writing everything else.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -161,12 +164,22 @@ fn main() -> ExitCode {
             if r.degraded { "DEGRADED" } else { "ok" }
         );
     }
+    let outcome = if out.degraded_params.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "fleet_sweep: {} of {} param sets degraded",
+            out.degraded_params.len(),
+            sweep.specs.len()
+        );
+        ExitCode::FAILURE
+    };
     let Some(report) = out.telemetry.as_ref() else {
         if args.trace_out.is_some() || args.profile {
             eprintln!("fleet_sweep: --trace-out/--profile need --telemetry counters|full");
             return ExitCode::FAILURE;
         }
-        return ExitCode::SUCCESS;
+        return outcome;
     };
     println!(
         "merged telemetry: {} counters, {} histograms, {} flight events",
@@ -191,5 +204,5 @@ fn main() -> ExitCode {
         }
         println!("merged trace written to {path}");
     }
-    ExitCode::SUCCESS
+    outcome
 }

@@ -4,8 +4,9 @@
 //! "Aggregating the results into a single basket, as opposed to many
 //! individual trade orders, allows the trading system to utilize a
 //! sophisticated list-based algorithm to optimize the actual execution."
-//! The gateway buffers order requests per interval and emits one
-//! [`Basket`] per interval boundary; Figure 1's
+//! The gateway buffers order requests per interval — each host step's
+//! [`Message::Orders`] batch lands at once — and emits one [`Basket`] per
+//! interval boundary; Figure 1's
 //! "with human confirmation" vs "no human confirmation" paths are the
 //! per-order `needs_confirmation` flag, preserved through aggregation.
 //!
@@ -135,35 +136,37 @@ impl Component for OrderGatewayNode {
     }
 
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        let order = match msg {
-            Message::Order(order) => order,
+        let batch = match msg {
+            Message::Orders(batch) => batch,
             other => {
                 out(other); // trade reports etc. pass through
                 return;
             }
         };
-        if let Mode::Bucketed { buckets } = &mut self.mode {
-            buckets
-                .entry(order.interval)
-                .or_default()
-                .push((*order).clone());
-            return;
-        }
-        let boundary = matches!(
-            &self.mode,
-            Mode::Streaming { current_interval, .. }
-                if *current_interval != Some(order.interval)
-        );
-        if boundary {
-            self.flush_streaming(out);
-        }
-        if let Mode::Streaming {
-            current_interval,
-            pending,
-        } = &mut self.mode
-        {
-            *current_interval = Some(order.interval);
-            pending.push((*order).clone());
+        // A host step's orders share an interval (end-of-day closes
+        // aside), so the batch lands run by run, not order by order.
+        for run in batch.chunk_by(|a, b| a.interval == b.interval) {
+            let interval = run[0].interval;
+            if let Mode::Bucketed { buckets } = &mut self.mode {
+                buckets.entry(interval).or_default().extend_from_slice(run);
+                continue;
+            }
+            let boundary = matches!(
+                &self.mode,
+                Mode::Streaming { current_interval, .. }
+                    if *current_interval != Some(interval)
+            );
+            if boundary {
+                self.flush_streaming(out);
+            }
+            if let Mode::Streaming {
+                current_interval,
+                pending,
+            } = &mut self.mode
+            {
+                *current_interval = Some(interval);
+                pending.extend_from_slice(run);
+            }
         }
     }
 
@@ -260,7 +263,7 @@ mod tests {
     }
 
     fn order_for(interval: usize, param_set: usize, stock: usize, confirm: bool) -> Message {
-        Message::Order(Arc::new(OrderRequest {
+        Message::Orders(Arc::new([OrderRequest {
             interval,
             param_set,
             strategy: pairtrade_core::spec::StrategyKind::Paper,
@@ -271,7 +274,7 @@ mod tests {
             pair: (1, 0),
             needs_confirmation: confirm,
             cause: Cause::none(),
-        }))
+        }]))
     }
 
     fn run_node(mut node: OrderGatewayNode, msgs: Vec<Message>) -> Vec<Arc<Basket>> {
@@ -364,6 +367,25 @@ mod tests {
             .orders
             .windows(2)
             .all(|w| w[0].param_set <= w[1].param_set));
+    }
+
+    #[test]
+    fn a_batch_spanning_intervals_splits_across_baskets() {
+        let orders: Vec<OrderRequest> = [(5, 0), (5, 1), (7, 2)]
+            .into_iter()
+            .flat_map(|(interval, stock)| match order(interval, stock, false) {
+                Message::Orders(b) => b.to_vec(),
+                _ => unreachable!(),
+            })
+            .collect();
+        for node in [OrderGatewayNode::new(), OrderGatewayNode::new().bucketed()] {
+            let baskets = run_node(node, vec![Message::Orders(orders.clone().into())]);
+            let shape: Vec<(usize, usize)> = baskets
+                .iter()
+                .map(|b| (b.interval, b.orders.len()))
+                .collect();
+            assert_eq!(shape, vec![(5, 2), (7, 1)]);
+        }
     }
 
     #[test]

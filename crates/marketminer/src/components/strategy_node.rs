@@ -5,8 +5,10 @@
 //! a single [`StrategySpec`] — any family of the strategy algebra (paper,
 //! Kalman, overlaid) plugs in behind the same node. Subscribes to both the
 //! bar stream (prices) and the correlation stream (signals); emits two
-//! [`OrderRequest`]s per position open and
-//! two per reversal, plus an end-of-day [`Message::Trades`] report.
+//! [`OrderRequest`]s per position open and two per close, gathered into
+//! one [`Message::Orders`] batch per step (per correlation snapshot, per
+//! degraded-symbol flatten, and at end of day), plus an end-of-day
+//! [`Message::Trades`] report.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -94,6 +96,9 @@ pub struct StrategyHostNode {
     last_corr_id: EventId,
     /// Messages neither consumed nor forwarded.
     dropped: u64,
+    /// Scratch for a snapshot step's orders, reused across steps (always
+    /// empty between calls, so never checkpointed).
+    batch: Vec<OrderRequest>,
     needs_confirmation: bool,
     name: String,
     probe: Probe,
@@ -143,6 +148,7 @@ impl StrategyHostNode {
             last_bar_id: EventId::NONE,
             last_corr_id: EventId::NONE,
             dropped: 0,
+            batch: Vec::new(),
             needs_confirmation,
             name: format!("pair-strategy-host({})", spec.label()),
             spec: spec.clone(),
@@ -304,9 +310,7 @@ impl Component for StrategyHostNode {
             all_trades.extend(trades);
         }
         self.probe.count("positions.eod_closed", eod_closed);
-        for order in closing_orders {
-            out(Message::Order(Arc::new(order)));
-        }
+        self.emit_orders(&closing_orders, out);
         out(Message::Trades(Arc::new(TradeReport {
             param_set: self.param_set,
             strategy: self.kind,
@@ -457,11 +461,20 @@ impl StrategyHostNode {
             }
         }
         self.probe.count("positions.flattened", closed.len() as u64);
-        for trade in closed {
-            for order in self.orders_for_close(&trade, parent) {
-                out(Message::Order(Arc::new(order)));
-            }
+        let orders: Vec<OrderRequest> = closed
+            .iter()
+            .flat_map(|trade| self.orders_for_close(trade, parent))
+            .collect();
+        self.emit_orders(&orders, out);
+    }
+
+    /// Emit one step's orders as a single batch (nothing when empty).
+    fn emit_orders(&self, orders: &[OrderRequest], out: &mut Emit<'_>) {
+        if orders.is_empty() {
+            return;
         }
+        self.probe.observe("orders.batch", orders.len() as u64);
+        out(Message::Orders(orders.into()));
     }
 
     fn process_corr(&mut self, snap: &CorrSnapshot, out: &mut Emit<'_>) {
@@ -545,21 +558,21 @@ impl StrategyHostNode {
             .count(opened_counter(self.kind), opened.len() as u64);
         self.probe
             .count(closed_counter(self.kind), closed.len() as u64);
+        let mut orders = std::mem::take(&mut self.batch);
         for position in opened {
             let pair = if position.long.stock > position.short.stock {
                 (position.long.stock, position.short.stock)
             } else {
                 (position.short.stock, position.long.stock)
             };
-            for order in self.orders_for_open(&position, s, pair, snap.cause.id) {
-                out(Message::Order(Arc::new(order)));
-            }
+            orders.extend(self.orders_for_open(&position, s, pair, snap.cause.id));
         }
-        for trade in closed {
-            for order in self.orders_for_close(&trade, snap.cause.id) {
-                out(Message::Order(Arc::new(order)));
-            }
+        for trade in &closed {
+            orders.extend(self.orders_for_close(trade, snap.cause.id));
         }
+        self.emit_orders(&orders, out);
+        orders.clear();
+        self.batch = orders;
     }
 }
 
@@ -610,11 +623,11 @@ mod tests {
     fn full_cycle_emits_orders_and_trades() {
         use std::cell::RefCell;
         let mut node = StrategyHostNode::new(2, params(), ExecutionConfig::paper(), false);
-        let orders: RefCell<Vec<Arc<OrderRequest>>> = RefCell::new(Vec::new());
+        let orders: RefCell<Vec<OrderRequest>> = RefCell::new(Vec::new());
         let trades: RefCell<Option<Arc<TradeReport>>> = RefCell::new(None);
         let feed = |node: &mut StrategyHostNode, m: Message| {
             node.on_message(m, &mut |out| match out {
-                Message::Order(o) => orders.borrow_mut().push(o),
+                Message::Orders(o) => orders.borrow_mut().extend(o.iter().cloned()),
                 Message::Trades(t) => *trades.borrow_mut() = Some(t),
                 _ => {}
             });
@@ -639,7 +652,7 @@ mod tests {
             assert_eq!(sell.shares, 1);
         }
         node.on_end(&mut |out| match out {
-            Message::Order(o) => orders.borrow_mut().push(o),
+            Message::Orders(o) => orders.borrow_mut().extend(o.iter().cloned()),
             Message::Trades(t) => *trades.borrow_mut() = Some(t),
             _ => {}
         });
@@ -654,16 +667,38 @@ mod tests {
     }
 
     #[test]
+    fn each_step_emits_at_most_one_batch() {
+        let mut node = StrategyHostNode::new(2, params(), ExecutionConfig::paper(), false);
+        let mut batches: Vec<Vec<OrderSide>> = Vec::new();
+        let mut sink = |m: Message| {
+            if let Message::Orders(o) = m {
+                batches.push(o.iter().map(|o| o.side).collect());
+            }
+        };
+        let start = params().first_active_interval();
+        for s in 0..=start {
+            node.on_message(bars(s, vec![30.0, 130.0]), &mut sink);
+            node.on_message(corr(s, 0.8), &mut sink);
+        }
+        node.on_message(bars(start + 1, vec![29.5, 131.0]), &mut sink);
+        node.on_message(corr(start + 1, 0.76), &mut sink);
+        node.on_end(&mut sink);
+        // The entry step's two legs travel together, as do the EOD closes.
+        use OrderSide::{Buy, Sell};
+        assert_eq!(batches, vec![vec![Buy, Sell], vec![Sell, Buy]]);
+    }
+
+    #[test]
     fn degradation_flattens_and_blocks_reentry() {
         use crate::messages::{DegradeReason, HealthEvent, HealthStatus};
         let mut node = StrategyHostNode::new(2, params(), ExecutionConfig::paper(), false);
         let mut forwarded_health = 0;
-        let mut orders: Vec<Arc<OrderRequest>> = Vec::new();
+        let mut orders: Vec<OrderRequest> = Vec::new();
         let mut trades: Vec<Trade> = Vec::new();
         macro_rules! feed {
             ($m:expr) => {
                 node.on_message($m, &mut |out| match out {
-                    Message::Order(o) => orders.push(o),
+                    Message::Orders(o) => orders.extend(o.iter().cloned()),
                     Message::Trades(t) => trades.extend(t.iter().copied()),
                     Message::Health(_) => forwarded_health += 1,
                     _ => {}
@@ -699,7 +734,7 @@ mod tests {
         assert_eq!(orders.len(), 4, "closing legs only, no re-entry");
 
         node.on_end(&mut |out| match out {
-            Message::Order(o) => orders.push(o),
+            Message::Orders(o) => orders.extend(o.iter().cloned()),
             Message::Trades(t) => trades.extend(t.iter().copied()),
             _ => {}
         });
@@ -755,8 +790,8 @@ mod tests {
         let mut node = StrategyHostNode::new(3, params(), ExecutionConfig::paper(), false);
         let mut n_orders = 0;
         let mut sink = |m: Message| {
-            if matches!(m, Message::Order(_)) {
-                n_orders += 1;
+            if let Message::Orders(o) = m {
+                n_orders += o.len();
             }
         };
         for s in 0..300 {
@@ -784,8 +819,8 @@ mod tests {
         let mut node = StrategyHostNode::new(2, params(), ExecutionConfig::paper(), true);
         let mut got_flag = None;
         let mut sink = |m: Message| {
-            if let Message::Order(o) = m {
-                got_flag = Some(o.needs_confirmation);
+            if let Message::Orders(o) = m {
+                got_flag = o.last().map(|o| o.needs_confirmation);
             }
         };
         let start = params().first_active_interval();

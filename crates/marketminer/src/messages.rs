@@ -185,8 +185,9 @@ pub enum Message {
     Returns(Arc<ReturnSet>),
     /// A correlation-matrix snapshot.
     Corr(Arc<CorrSnapshot>),
-    /// An order request.
-    Order(Arc<OrderRequest>),
+    /// One strategy-host step's order requests, in emission order (opens,
+    /// then closes). Each order keeps its own [`Cause`].
+    Orders(Arc<[OrderRequest]>),
     /// An aggregated order basket.
     Basket(Arc<Basket>),
     /// End-of-day trade report from a strategy node.
@@ -201,7 +202,9 @@ pub enum Message {
 impl Message {
     /// The simulated-time coordinate the message carries, when it has
     /// one: the trading interval the payload belongs to. Quotes, trade
-    /// reports and Eofs have no single interval. Telemetry uses this as
+    /// reports and Eofs have no single interval; an order batch reports
+    /// its first order's (a host step's orders share one interval,
+    /// end-of-day closes aside). Telemetry uses this as
     /// the second axis on spans, so a wall-clock latency spike can be
     /// attributed to a point in the trading day.
     pub fn interval(&self) -> Option<u64> {
@@ -209,7 +212,7 @@ impl Message {
             Message::Bars(b) => Some(b.interval as u64),
             Message::Returns(r) => Some(r.interval as u64),
             Message::Corr(c) => Some(c.interval as u64),
-            Message::Order(o) => Some(o.interval as u64),
+            Message::Orders(o) => o.first().map(|o| o.interval as u64),
             Message::Basket(b) => Some(b.interval as u64),
             Message::Health(h) => Some(h.interval as u64),
             Message::Quote(..) | Message::Trades(_) | Message::Eof => None,
@@ -217,14 +220,16 @@ impl Message {
     }
 
     /// The message's causal context, if it carries one (everything but
-    /// the runtime-internal `Eof`).
+    /// the runtime-internal `Eof` and an empty batch). An order batch
+    /// answers with its first order's: a batch's orders are stamped
+    /// together, so that cause times the hop for all of them.
     pub fn cause(&self) -> Option<&Cause> {
         match self {
             Message::Quote(_, c) => Some(c),
             Message::Bars(b) => Some(&b.cause),
             Message::Returns(r) => Some(&r.cause),
             Message::Corr(c) => Some(&c.cause),
-            Message::Order(o) => Some(&o.cause),
+            Message::Orders(o) => o.first().map(|o| &o.cause),
             Message::Basket(b) => Some(&b.cause),
             Message::Trades(t) => Some(&t.cause),
             Message::Health(h) => Some(&h.cause),
@@ -235,14 +240,16 @@ impl Message {
     /// Mutable causal context, for the runtime's stamping path. Arc'd
     /// payloads go through `Arc::make_mut`: the payload is cloned only
     /// when the Arc is shared (a forwarded copy getting its own identity
-    /// is exactly the provenance semantics we want).
+    /// is exactly the provenance semantics we want). An order batch has
+    /// no single cause — each order carries its own, reached through
+    /// [`Message::Orders`] — so it answers `None`.
     pub fn cause_mut(&mut self) -> Option<&mut Cause> {
         match self {
             Message::Quote(_, c) => Some(c),
             Message::Bars(b) => Some(&mut Arc::make_mut(b).cause),
             Message::Returns(r) => Some(&mut Arc::make_mut(r).cause),
             Message::Corr(c) => Some(&mut Arc::make_mut(c).cause),
-            Message::Order(o) => Some(&mut Arc::make_mut(o).cause),
+            Message::Orders(_) => None,
             Message::Basket(b) => Some(&mut Arc::make_mut(b).cause),
             Message::Trades(t) => Some(&mut Arc::make_mut(t).cause),
             Message::Health(h) => Some(&mut Arc::make_mut(h).cause),
@@ -250,15 +257,13 @@ impl Message {
         }
     }
 
-    /// Short tag for debugging and sink filtering.
-    /// Human-facing annotation for the lineage ring: which strategy
-    /// family produced an order, and — for trade reports — the exit
-    /// reasons booked (distinct, in trade order, so overlay exits like
-    /// `overlay-stop` are visible in `explain_trade`). Structural
-    /// messages carry none.
+    /// Human-facing annotation for the lineage ring: for trade reports,
+    /// the exit reasons booked (distinct, in trade order, so overlay
+    /// exits like `overlay-stop` are visible in `explain_trade`).
+    /// Structural messages carry none. Each order of a batch is annotated
+    /// with its strategy family when the runtime stamps it.
     pub fn lineage_detail(&self) -> Option<String> {
         match self {
-            Message::Order(o) => Some(o.strategy.as_str().to_string()),
             Message::Trades(t) => {
                 let mut reasons: Vec<&'static str> = Vec::new();
                 for trade in &t.trades {
@@ -277,13 +282,14 @@ impl Message {
         }
     }
 
+    /// Short tag for debugging and sink filtering.
     pub fn kind(&self) -> &'static str {
         match self {
             Message::Quote(..) => "quote",
             Message::Bars(_) => "bars",
             Message::Returns(_) => "returns",
             Message::Corr(_) => "corr",
-            Message::Order(_) => "order",
+            Message::Orders(_) => "orders",
             Message::Basket(_) => "basket",
             Message::Trades(_) => "trades",
             Message::Health(_) => "health",

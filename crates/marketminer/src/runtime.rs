@@ -77,7 +77,7 @@ use telemetry::trace::{Arg, TrackId};
 use telemetry::{Probe, Telemetry, TelemetryLevel, TelemetryReport};
 
 use crate::graph::{Graph, GraphError, NodeId, NodeKind};
-use crate::messages::Message;
+use crate::messages::{Cause, Message};
 use crate::node::{Component, NodeState, Source};
 use crate::supervisor::{
     panic_message, Directive, FailureMode, NodeFailure, StallEvent, SupervisionConfig, Supervisor,
@@ -468,17 +468,41 @@ impl RunTelemetry {
     /// Called only at `Full`, under the emitting node's body lock (or on
     /// the source's dedicated thread), so `next_out[idx]` is
     /// single-writer.
+    ///
+    /// An order batch is one hop but many data items: each order gets its
+    /// own identity and `order` lineage event, minted in batch order, so
+    /// lineage reads exactly as if the orders had travelled one by one.
     fn stamp(&self, idx: usize, msg: &mut Message) {
         match msg.cause() {
             Some(c) if !c.id.is_set() => {}
             _ => return,
         }
+        if let Message::Orders(batch) = msg {
+            for o in Arc::make_mut(batch).iter_mut() {
+                let detail = Some(o.strategy.as_str().to_string());
+                self.mint(idx, &mut o.cause, "order", Some(o.interval as u64), detail);
+            }
+            return;
+        }
         let kind = msg.kind();
         let interval = msg.interval();
         let detail = msg.lineage_detail();
+        let cause = msg.cause_mut().expect("cause presence checked above");
+        self.mint(idx, cause, kind, interval, detail);
+    }
+
+    /// Give `cause` the node's next `(node, seq)` identity and record its
+    /// lineage event.
+    fn mint(
+        &self,
+        idx: usize,
+        cause: &mut Cause,
+        kind: &'static str,
+        interval: Option<u64>,
+        detail: Option<String>,
+    ) {
         let seq = self.next_out[idx].fetch_add(1, Ordering::Relaxed);
         let wall = self.tel.now_us();
-        let cause = msg.cause_mut().expect("cause presence checked above");
         cause.id = EventId::new(self.node_base + idx, seq);
         cause.wall_us = wall;
         self.tel.lineage.record(LineageEvent {
@@ -509,7 +533,7 @@ impl RunTelemetry {
         }
         let now = self.tel.now_us();
         self.hop_us[idx].observe(now.saturating_sub(c.wall_us));
-        if matches!(msg, Message::Order(..)) {
+        if matches!(msg, Message::Orders(..)) {
             return;
         }
         self.tel.tracer.flow(

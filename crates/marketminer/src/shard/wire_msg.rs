@@ -39,7 +39,15 @@ pub fn encode_cause(c: &Cause, w: &mut Writer) {
 pub fn decode_cause(r: &mut Reader<'_>) -> Result<Cause, WireError> {
     let id = EventId(u64::decode(r)?);
     let wall_us = u64::decode(r)?;
-    let parents = Vec::<u64>::decode(r)?.into_iter().map(EventId).collect();
+    // Eight bytes per parent: a count the input cannot hold is corrupt.
+    let n_parents = usize::decode(r)?;
+    if n_parents > r.remaining() / 8 {
+        return Err(WireError::Invalid("cause parents longer than input"));
+    }
+    let mut parents = Vec::with_capacity(n_parents);
+    for _ in 0..n_parents {
+        parents.push(EventId(u64::decode(r)?));
+    }
     Ok(Cause {
         id,
         wall_us,
@@ -192,6 +200,28 @@ impl Codec for OrderRequest {
     }
 }
 
+/// The fewest bytes one encoded [`OrderRequest`] can take: nine 8-byte
+/// words (interval, param set, stock, price, the pair's two stocks, cause
+/// id, cause wall time, parent count), 4-byte shares, and three one-byte
+/// tags (strategy, side, confirmation).
+pub const ORDER_MIN_BYTES: usize = 9 * 8 + 4 + 3;
+
+/// Decode an order batch's count and orders. A count the remaining input
+/// cannot hold is rejected before anything is allocated, so the one
+/// reservation is at most `size_of::<OrderRequest>() / ORDER_MIN_BYTES`
+/// bytes per input byte, whatever the count claims.
+fn decode_order_batch(r: &mut Reader<'_>) -> Result<Arc<[OrderRequest]>, WireError> {
+    let count = usize::decode(r)?;
+    if count > r.remaining() / ORDER_MIN_BYTES {
+        return Err(WireError::Invalid("order batch longer than input"));
+    }
+    let mut orders = Vec::with_capacity(count);
+    for _ in 0..count {
+        orders.push(OrderRequest::decode(r)?);
+    }
+    Ok(orders.into())
+}
+
 impl Codec for Basket {
     fn encode(&self, w: &mut Writer) {
         self.interval.encode(w);
@@ -304,9 +334,12 @@ impl Codec for Message {
                 3u8.encode(w);
                 x.as_ref().encode(w);
             }
-            Message::Order(x) => {
+            Message::Orders(batch) => {
                 4u8.encode(w);
-                x.as_ref().encode(w);
+                batch.len().encode(w);
+                for o in batch.iter() {
+                    o.encode(w);
+                }
             }
             Message::Basket(x) => {
                 5u8.encode(w);
@@ -334,7 +367,7 @@ impl Codec for Message {
             1 => Message::Bars(Arc::new(BarSet::decode(r)?)),
             2 => Message::Returns(Arc::new(ReturnSet::decode(r)?)),
             3 => Message::Corr(Arc::new(CorrSnapshot::decode(r)?)),
-            4 => Message::Order(Arc::new(OrderRequest::decode(r)?)),
+            4 => Message::Orders(decode_order_batch(r)?),
             5 => Message::Basket(Arc::new(Basket::decode(r)?)),
             6 => Message::Trades(Arc::new(TradeReport::decode(r)?)),
             7 => Message::Health(Arc::new(HealthEvent::decode(r)?)),
@@ -659,7 +692,7 @@ mod tests {
                 matrix: stats::matrix::SymMatrix::identity(3),
                 cause: cause(),
             })),
-            Message::Order(Arc::new(order.clone())),
+            Message::Orders(vec![order.clone(), order.clone()].into()),
             Message::Basket(Arc::new(Basket {
                 interval: 9,
                 orders: vec![order],
@@ -697,9 +730,59 @@ mod tests {
                 (Message::Bars(a), Message::Bars(b)) => assert_eq!(a, b),
                 (Message::Trades(a), Message::Trades(b)) => assert_eq!(a, b),
                 (Message::Basket(a), Message::Basket(b)) => assert_eq!(a, b),
+                (Message::Orders(a), Message::Orders(b)) => assert_eq!(a, b),
                 _ => {}
             }
         }
+    }
+
+    fn order_batch() -> Vec<OrderRequest> {
+        (0..3)
+            .map(|k| OrderRequest {
+                interval: 40,
+                param_set: 7,
+                strategy: pairtrade_core::spec::StrategyKind::Kalman,
+                stock: k,
+                side: if k % 2 == 0 {
+                    OrderSide::Buy
+                } else {
+                    OrderSide::Sell
+                },
+                shares: 5 + k as u32,
+                price: 30.5 + k as f64,
+                pair: (4, k),
+                needs_confirmation: k == 1,
+                cause: Cause {
+                    id: EventId::new(2, 100 + k as u64),
+                    wall_us: 9,
+                    parents: vec![EventId::new(1, k as u64)],
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn order_batches_round_trip_with_every_cause() {
+        for batch in [order_batch(), Vec::new()] {
+            let bytes = wire::to_bytes(&Message::Orders(batch.clone().into()));
+            let Message::Orders(back) = wire::from_bytes::<Message>(&bytes).unwrap() else {
+                panic!("tag 4 decodes to a batch");
+            };
+            assert_eq!(&back[..], &batch[..]);
+            for (a, b) in back.iter().zip(&batch) {
+                assert_eq!(a.cause.id, b.cause.id);
+                assert_eq!(a.cause.parents, b.cause.parents);
+            }
+        }
+    }
+
+    #[test]
+    fn smallest_order_encoding_is_order_min_bytes() {
+        let o = OrderRequest {
+            cause: Cause::none(),
+            ..order_batch()[0].clone()
+        };
+        assert_eq!(wire::to_bytes(&o).len(), ORDER_MIN_BYTES);
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! one container.
 
 /// Fixed-capacity sliding window over values of type `T`.
+///
+/// The ring is read as two contiguous runs, `buf[head..]` then
+/// `buf[..head]` (oldest → newest), so no access divides by the capacity.
 #[derive(Debug, Clone)]
 pub struct SlidingWindow<T> {
     buf: Vec<T>,
+    /// Slot of the oldest element once full; 0 until then.
     head: usize,
-    len: usize,
     cap: usize,
 }
 
@@ -23,7 +26,6 @@ impl<T: Copy> SlidingWindow<T> {
         SlidingWindow {
             buf: Vec::with_capacity(capacity),
             head: 0,
-            len: 0,
             cap: capacity,
         }
     }
@@ -35,76 +37,65 @@ impl<T: Copy> SlidingWindow<T> {
 
     /// Current number of elements.
     pub fn len(&self) -> usize {
-        self.len
+        self.buf.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.buf.is_empty()
     }
 
     /// True once at capacity.
     pub fn is_full(&self) -> bool {
-        self.len == self.cap
+        self.buf.len() == self.cap
     }
 
     /// Push a value, evicting and returning the oldest when full.
     pub fn push(&mut self, v: T) -> Option<T> {
         if self.buf.len() < self.cap {
             self.buf.push(v);
-            self.len += 1;
-            None
-        } else {
-            let evicted = self.buf[self.head];
-            self.buf[self.head] = v;
-            self.head = (self.head + 1) % self.cap;
-            Some(evicted)
+            return None;
         }
+        let evicted = std::mem::replace(&mut self.buf[self.head], v);
+        self.head += 1;
+        if self.head == self.cap {
+            self.head = 0;
+        }
+        Some(evicted)
+    }
+
+    /// The contents as two runs, older then newer: concatenated they are
+    /// the window oldest → newest.
+    fn runs(&self) -> (&[T], &[T]) {
+        let (newer, older) = self.buf.split_at(self.head);
+        (older, newer)
     }
 
     /// Oldest element, if any.
     pub fn front(&self) -> Option<T> {
-        if self.len == 0 {
-            None
-        } else if self.buf.len() < self.cap {
-            Some(self.buf[0])
-        } else {
-            Some(self.buf[self.head])
-        }
+        let (older, newer) = self.runs();
+        older.first().or(newer.first()).copied()
     }
 
     /// Newest element, if any.
     pub fn back(&self) -> Option<T> {
-        if self.len == 0 {
-            None
-        } else if self.buf.len() < self.cap {
-            Some(self.buf[self.len - 1])
-        } else {
-            Some(self.buf[(self.head + self.cap - 1) % self.cap])
-        }
+        let (older, newer) = self.runs();
+        newer.last().or(older.last()).copied()
     }
 
     /// Element `k` steps back from the newest (0 = newest).
     pub fn nth_back(&self, k: usize) -> Option<T> {
-        if k >= self.len {
-            return None;
-        }
-        if self.buf.len() < self.cap {
-            Some(self.buf[self.len - 1 - k])
-        } else {
-            Some(self.buf[(self.head + self.cap - 1 - k) % self.cap])
+        let (older, newer) = self.runs();
+        match k.checked_sub(newer.len()) {
+            None => Some(newer[newer.len() - 1 - k]),
+            Some(k) => older.len().checked_sub(k + 1).map(|i| older[i]),
         }
     }
 
     /// Iterate oldest → newest.
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        (0..self.len).map(move |k| {
-            if self.buf.len() < self.cap {
-                self.buf[k]
-            } else {
-                self.buf[(self.head + k) % self.cap]
-            }
-        })
+        let (older, newer) = self.runs();
+        older.iter().chain(newer).copied()
     }
 
     /// Copy contents oldest → newest into a fresh vector.
@@ -116,18 +107,19 @@ impl<T: Copy> SlidingWindow<T> {
     pub fn clear(&mut self) {
         self.buf.clear();
         self.head = 0;
-        self.len = 0;
     }
 }
 
 impl SlidingWindow<f64> {
     /// Mean of the current contents (0 when empty) — convenience for the
     /// strategy's `C̄` average-correlation window.
+    ///
+    /// The sum runs oldest → newest, one left fold over the two runs.
     pub fn mean(&self) -> f64 {
-        if self.len == 0 {
+        if self.is_empty() {
             0.0
         } else {
-            self.iter().sum::<f64>() / self.len as f64
+            self.iter().sum::<f64>() / self.len() as f64
         }
     }
 }

@@ -27,6 +27,36 @@ proptest! {
     }
 
     #[test]
+    fn window_matches_a_vecdeque_at_every_wrap_position(
+        xs in proptest::collection::vec(-1e6f64..1e6, 0..120),
+        cap in 1usize..24,
+    ) {
+        let mut w = SlidingWindow::new(cap);
+        let mut reference: std::collections::VecDeque<f64> = std::collections::VecDeque::new();
+        // Check after every push, so every head position of the ring is
+        // visited once the window has wrapped.
+        for &x in &xs {
+            let evicted = w.push(x);
+            reference.push_back(x);
+            let want_evicted = if reference.len() > cap { reference.pop_front() } else { None };
+            prop_assert_eq!(evicted, want_evicted);
+            let logical: Vec<f64> = reference.iter().copied().collect();
+            prop_assert_eq!(w.iter().collect::<Vec<f64>>(), logical.clone());
+            prop_assert_eq!(w.len(), reference.len());
+            prop_assert_eq!(w.is_full(), reference.len() == cap);
+            prop_assert_eq!(w.front(), reference.front().copied());
+            prop_assert_eq!(w.back(), reference.back().copied());
+            for k in 0..=cap {
+                let want = reference.len().checked_sub(k + 1).map(|i| reference[i]);
+                prop_assert_eq!(w.nth_back(k), want);
+            }
+            // The mean is the left fold over the logical order, bit for bit.
+            let fold = logical.iter().sum::<f64>() / logical.len() as f64;
+            prop_assert_eq!(w.mean().to_bits(), fold.to_bits());
+        }
+    }
+
+    #[test]
     fn rolling_extrema_match_naive(
         xs in proptest::collection::vec(-1e3f64..1e3, 1..120),
         win in 1usize..15,
